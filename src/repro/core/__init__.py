@@ -13,7 +13,6 @@
 from .ade import AlgebraicDifferentiator
 from .coordinator import GammaHistory, HCPerfConfig, HierarchicalCoordinator
 from .dynamic_priority import (
-    GAMMA_SEARCH_MODES,
     DynamicPriorityConfig,
     DynamicPriorityPolicy,
     GammaSearchResult,
@@ -26,7 +25,6 @@ __all__ = [
     "GammaHistory",
     "HCPerfConfig",
     "HierarchicalCoordinator",
-    "GAMMA_SEARCH_MODES",
     "DynamicPriorityConfig",
     "DynamicPriorityPolicy",
     "GammaSearchResult",

@@ -16,7 +16,7 @@ feeds it the tracking-error signal.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -59,54 +59,73 @@ class HCPerfConfig:
 class GammaHistory:
     """Bounded ring of ``(t, γ)`` samples with an eviction count.
 
-    List-like where it matters (iteration, ``len``, indexing/slicing,
-    equality against lists), but appends past ``limit`` evict the oldest
-    sample instead of growing without bound.  ``total`` counts every sample
-    ever appended; ``dropped`` counts evictions.
+    List-like where it matters (iteration in time order, ``len``,
+    indexing/slicing, equality against lists), but appends past ``limit``
+    evict the oldest sample instead of growing without bound.  ``total``
+    counts every sample ever appended; ``dropped`` counts evictions.
+
+    Samples live in two ``array('d')`` columns rather than as tuples, so a
+    long run keeps two flat buffers instead of one small object per sample.
+    Once full, ``_head`` is the slot of the oldest sample, which the next
+    append overwrites.
     """
 
     def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError("limit must be >= 1")
         self.limit = limit
-        self._ring: deque[Tuple[float, float]] = deque(maxlen=limit)
-        self.total = 0
-        self.dropped = 0
+        self.clear()
 
     def append(self, sample: Tuple[float, float]) -> None:
-        if len(self._ring) == self.limit:
+        t, gamma = sample
+        if len(self._t) < self.limit:
+            self._t.append(t)
+            self._gamma.append(gamma)
+        else:
+            head = self._head
+            self._t[head] = t
+            self._gamma[head] = gamma
+            self._head = head + 1 if head + 1 < self.limit else 0
             self.dropped += 1
-        self._ring.append(sample)
         self.total += 1
 
     def clear(self) -> None:
-        self._ring.clear()
+        self._t = array("d")
+        self._gamma = array("d")
+        self._head = 0
         self.total = 0
         self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._t)
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
-        return iter(self._ring)
+        head = self._head
+        return zip(
+            self._t[head:] + self._t[:head], self._gamma[head:] + self._gamma[:head]
+        )
 
     def __getitem__(
         self, index: Union[int, slice]
     ) -> Union[Tuple[float, float], List[Tuple[float, float]]]:
         if isinstance(index, slice):
-            return list(self._ring)[index]
-        return self._ring[index]
+            return list(self)[index]
+        n = len(self._t)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("GammaHistory index out of range")
+        slot = (self._head + index) % n
+        return (self._t[slot], self._gamma[slot])
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, GammaHistory):
-            return self._ring == other._ring
-        if isinstance(other, (list, tuple)):
-            return list(self._ring) == list(other)
+        if isinstance(other, (GammaHistory, list, tuple)):
+            return list(self) == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"GammaHistory(limit={self.limit}, len={len(self._ring)}, "
+            f"GammaHistory(limit={self.limit}, len={len(self)}, "
             f"total={self.total}, dropped={self.dropped})"
         )
 
@@ -201,7 +220,6 @@ class HierarchicalCoordinator:
         """Restore all component state (scenario restart)."""
         self.mfc.reset()
         self.rate_adapter.reset()
-        self.policy.invalidate_cache()
         self.tracking_error = 0.0
         self.last_result = None
         self.gamma_history.clear()

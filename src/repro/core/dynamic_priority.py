@@ -15,37 +15,15 @@ schedulable under the workload-conservation test of Eq. (11):
 
     c_j + ΣT_p/n_p + Σ_{P_i < P_j} c_i / n_p  <  D_j  (remaining)
 
-The ordering induced by ``P_i`` changes at discrete γ breakpoints, so
-``γ_max`` is found over a descending grid of ``resolution`` points.  Three
-interchangeable search strategies implement the same grid contract
-(``DynamicPriorityConfig.mode``):
-
-* ``"scalar"`` — the original per-grid-point recomputation.  O(G·n log n)
-  with 2n ``exec_estimate`` calls per grid point; kept as the reference
-  oracle the other modes are tested against.
-* ``"vectorized"`` (default) — each job's ``(p_i, slack, c_i)`` is computed
-  once per resolution call, the priority matrix for the whole γ grid is
-  built in one numpy batch (one stable argsort per γ row) and the Eq. (11)
-  prefix-sum test runs vectorized over all grid points at once.  The result
-  is byte-identical to the scalar oracle: every float op is performed in
-  the same order on the same operands (see the note in ``is_feasible``).
-* ``"breakpoint"`` — the feasibility of Eq. (11) depends on γ only through
-  the ordering of the ``P_i``, which changes exactly at the O(n²) pairwise
-  crossings γ* = (d_j − d_i)/(p_i − p_j).  This mode enumerates the
-  crossings once, walks the grid from the top and evaluates feasibility a
-  single time per ordering segment (grid points that coincide with a
-  crossing are evaluated individually, since ties are grouped differently
-  there).  Exact in the breakpoint structure and fastest when segments are
-  fewer than grid points or when the top of the grid is feasible.
-
-Across consecutive controller steps the queue ordering rarely changes (the
-EWMAs barely move), so the vectorized mode caches the per-γ sort
-permutation between :meth:`DynamicPriorityPolicy.resolve` calls.  The cache
-is invalidated on queue-membership change or estimate drift beyond
-``cache_tolerance``, and every hit is *validated*: the cached permutation
-is only reused when it still sorts the fresh priority matrix strictly, in
-which case it is the unique sorted order and the result is provably
-byte-identical to a fresh argsort.
+``γ_max`` is the largest point of a ``resolution``-point grid over
+``[0, gamma_cap]`` that passes the test.  The search computes each job's
+``(p_i, slack_i, c_i, remaining_i)`` once and tests the top grid point with
+the scalar rule; the queues the coordinator sees are short and almost always
+feasible there, so that one test usually settles it.  Only when the top
+point fails is the whole grid tested at once in numpy (one stable argsort
+per γ row, prefix sums for the backlog).  Both paths perform the same float
+operations, in the same order, as the reference :meth:`is_feasible`, so the
+result equals a top-down walk of the grid with it bit for bit.
 
 The nominal parameter ``u`` from the MFC controller is finally clamped into
 ``[0, γ_max]`` (Eq. 12).
@@ -54,21 +32,20 @@ The nominal parameter ``u`` from the MFC controller is finally clamped into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..rt.task import Job
 
 __all__ = [
-    "GAMMA_SEARCH_MODES",
     "DynamicPriorityConfig",
     "GammaSearchResult",
     "DynamicPriorityPolicy",
 ]
 
-#: Valid values of :attr:`DynamicPriorityConfig.mode`.
-GAMMA_SEARCH_MODES = ("scalar", "vectorized", "breakpoint")
+_PRIORITY = itemgetter(0)
 
 
 @dataclass
@@ -86,35 +63,16 @@ class DynamicPriorityConfig:
         priority-driven for deadlines up to ~100 ms and priorities up to 10.
     resolution:
         Number of grid points over ``[0, gamma_cap]``.
-    mode:
-        γ_max search strategy: ``"scalar"`` (reference oracle),
-        ``"vectorized"`` (default; batched numpy grid) or ``"breakpoint"``
-        (piecewise segment enumeration).  All three produce the same
-        :class:`GammaSearchResult` sequences.
-    cache_tolerance:
-        Maximum relative drift of any job's execution-time estimate for the
-        cross-step ordering cache to be consulted (vectorized mode only).
-        ``None`` disables the cache.  Cache hits are validated against the
-        fresh priority matrix, so the tolerance trades lookup work against
-        re-sort work — it can never change the search result.
     """
 
     gamma_cap: float = 0.02
     resolution: int = 64
-    mode: str = "vectorized"
-    cache_tolerance: Optional[float] = 0.05
 
     def __post_init__(self) -> None:
         if self.gamma_cap < 0:
             raise ValueError("gamma_cap must be >= 0")
         if self.resolution < 2:
             raise ValueError("resolution must be >= 2")
-        if self.mode not in GAMMA_SEARCH_MODES:
-            raise ValueError(
-                f"mode must be one of {GAMMA_SEARCH_MODES}, got {self.mode!r}"
-            )
-        if self.cache_tolerance is not None and self.cache_tolerance < 0:
-            raise ValueError("cache_tolerance must be >= 0 (or None to disable)")
 
 
 @dataclass
@@ -135,14 +93,6 @@ class DynamicPriorityPolicy:
 
     def __init__(self, config: Optional[DynamicPriorityConfig] = None) -> None:
         self.config = config or DynamicPriorityConfig()
-        # Cross-step ordering cache (vectorized mode): the (job-id sequence,
-        # estimates, per-γ sort permutation) of the previous resolution.
-        self._cached_ids: Optional[Tuple[int, ...]] = None
-        self._cached_estimates: Optional[np.ndarray] = None
-        self._cached_order: Optional[np.ndarray] = None
-        self._grid_cache: Optional[Tuple[Tuple[float, int], np.ndarray]] = None
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     # Priority arithmetic
@@ -163,7 +113,7 @@ class DynamicPriorityPolicy:
         return gamma * job.task.priority + self.scheduling_slack(job, now, exec_estimate)
 
     # ------------------------------------------------------------------
-    # Schedulability test (Eq. 11) — scalar reference oracle
+    # Schedulability test (Eq. 11) — scalar reference
     # ------------------------------------------------------------------
     def is_feasible(
         self,
@@ -180,10 +130,10 @@ class DynamicPriorityPolicy:
         of jobs currently running; ``exec_estimate`` maps each queued job to
         its observed execution time ``c_i``.
 
-        This is the scalar reference implementation; the vectorized grid
-        search replays exactly these float operations (the backlog ``ahead``
-        accumulates one job at a time in priority order, matching an
-        elementwise prefix sum), so both paths agree bit-for-bit.
+        This is the reference implementation that :meth:`gamma_max` is
+        tested against.  Both of its paths replay exactly these float
+        operations (the backlog ``ahead`` accumulates one job at a time in
+        priority order, matching an elementwise prefix sum).
         """
         if not jobs:
             return True
@@ -216,42 +166,35 @@ class DynamicPriorityPolicy:
         return True
 
     # ------------------------------------------------------------------
-    # Shared grid / queue preparation
+    # γ_max search
     # ------------------------------------------------------------------
-    def _grid(self) -> np.ndarray:
-        """The γ grid, ascending: ``gamma_i = i · step`` exactly as scalar."""
-        cfg = self.config
-        key = (cfg.gamma_cap, cfg.resolution)
-        if self._grid_cache is None or self._grid_cache[0] != key:
-            step = cfg.gamma_cap / (cfg.resolution - 1)
-            self._grid_cache = (key, np.arange(cfg.resolution) * step)
-        return self._grid_cache[1]
-
     @staticmethod
-    def _queue_arrays(
-        jobs: Sequence[Job],
-        now: float,
-        exec_estimate: Callable[[Job], float],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-job ``(p_i, slack_i, c_i, remaining-budget_i)`` — computed once.
+    def _feasible_at(
+        gamma: float,
+        rows: List[Tuple[float, float, float, float]],
+        base: float,
+        n_p: int,
+    ) -> bool:
+        """Eq. (11) at one γ over prepared ``(p, slack, c, remaining)`` rows.
 
-        The scalar path re-evaluates ``exec_estimate`` twice per job per
-        grid point; here each job is touched exactly once per resolution.
-        ``slack`` replays ``latest_start(est) - now`` operation-for-operation:
-        ``((release + D) - est) - now``.
+        The same float operations as :meth:`is_feasible`: a stable sort by
+        ``P_i``, and a job's backlog is the running sum of ``c`` up to the
+        start of its equal-``P_i`` group.
         """
-        p: List[float] = []
-        slack: List[float] = []
-        c: List[float] = []
-        rem: List[float] = []
-        for job in jobs:
-            est = exec_estimate(job)
-            ad = job.absolute_deadline
-            c.append(est)
-            p.append(job.task.priority)
-            slack.append((ad - est) - now)
-            rem.append(ad - now)
-        return np.array(p), np.array(slack), np.array(c), np.array(rem)
+        ranked = sorted(
+            [(gamma * p + slack, c, rem) for p, slack, c, rem in rows], key=_PRIORITY
+        )
+        ahead = 0.0
+        group_ahead = 0.0
+        group_key = None
+        for key, c, rem in ranked:
+            if key != group_key:
+                group_key = key
+                group_ahead = ahead
+            if c + base + group_ahead / n_p >= rem:
+                return False
+            ahead += c
+        return True
 
     @staticmethod
     def _feasible_rows(
@@ -261,21 +204,18 @@ class DynamicPriorityPolicy:
         rem: np.ndarray,
         base: float,
         n_p: int,
-        p_sorted: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Vectorized Eq. (11) over every row (γ point) of ``priority_matrix``.
 
-        ``order`` is the stable ascending sort permutation of each row
-        (``p_sorted``, when given, is the pre-gathered sorted matrix).  The
+        ``order`` is the stable ascending sort permutation of each row.  The
         backlog ahead of a job is the exclusive prefix sum of sorted ``c_i``
         gathered at the first index of the job's equal-``P_i`` group — the
-        same one-at-a-time accumulation the scalar oracle performs, so the
+        same one-at-a-time accumulation the scalar rule performs, so the
         comparison below is bit-identical to it.
         """
         shape = priority_matrix.shape
         rows = np.arange(shape[0])[:, None]
-        if p_sorted is None:
-            p_sorted = priority_matrix[rows, order]
+        p_sorted = priority_matrix[rows, order]
         c_sorted = c[order]
         rem_sorted = rem[order]
         ecum = np.zeros(shape)
@@ -290,160 +230,6 @@ class DynamicPriorityPolicy:
         infeasible = (c_sorted + base + ahead / n_p >= rem_sorted).any(axis=1)
         return ~infeasible
 
-    # ------------------------------------------------------------------
-    # Cross-step ordering cache
-    # ------------------------------------------------------------------
-    def _lookup_order(
-        self, ids: Tuple[int, ...], c: np.ndarray, priority_matrix: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Reuse the previous sort permutation when it still strictly sorts.
-
-        Eligibility: same job-id sequence and estimate drift within
-        ``cache_tolerance``.  Validation: the cached permutation must sort
-        the fresh priority matrix *strictly* — then it is the unique sorted
-        order, identical to what a fresh stable argsort would return.  Tied
-        rows always fall back to a fresh argsort (stability depends on
-        input order, which the cache cannot vouch for).  Returns the
-        ``(order, sorted matrix)`` pair so the caller never gathers twice.
-        """
-        tol = self.config.cache_tolerance
-        if (
-            tol is None
-            or self._cached_order is None
-            or self._cached_ids != ids
-            or self._cached_estimates is None
-            or self._cached_estimates.shape != c.shape
-        ):
-            return None
-        prev = self._cached_estimates
-        drift = np.abs(c - prev) / np.maximum(np.abs(prev), 1e-12)
-        if drift.max(initial=0.0) > tol:
-            return None
-        order = self._cached_order
-        p_sorted = priority_matrix[np.arange(order.shape[0])[:, None], order]
-        if not bool((p_sorted[:, 1:] > p_sorted[:, :-1]).all()):
-            return None
-        return order, p_sorted
-
-    def invalidate_cache(self) -> None:
-        """Drop the cross-step ordering cache (e.g. on scenario reset)."""
-        self._cached_ids = None
-        self._cached_estimates = None
-        self._cached_order = None
-
-    # ------------------------------------------------------------------
-    # γ_max search strategies
-    # ------------------------------------------------------------------
-    def _gamma_max_scalar(
-        self,
-        jobs: Sequence[Job],
-        now: float,
-        exec_estimate: Callable[[Job], float],
-        busy_remaining: float,
-        n_processors: int,
-    ) -> Optional[float]:
-        cfg = self.config
-        step = cfg.gamma_cap / (cfg.resolution - 1)
-        for i in range(cfg.resolution - 1, -1, -1):
-            gamma = i * step
-            if self.is_feasible(gamma, jobs, now, exec_estimate, busy_remaining, n_processors):
-                return gamma
-        return None
-
-    def _gamma_max_vectorized(
-        self,
-        jobs: Sequence[Job],
-        now: float,
-        exec_estimate: Callable[[Job], float],
-        busy_remaining: float,
-        n_processors: int,
-    ) -> Optional[float]:
-        p, slack, c, rem = self._queue_arrays(jobs, now, exec_estimate)
-        n_p = max(1, n_processors)
-        base = busy_remaining / n_p
-        gammas = self._grid()
-        priority_matrix = gammas[:, None] * p + slack
-        ids = tuple(job.job_id for job in jobs)
-        cached = self._lookup_order(ids, c, priority_matrix)
-        if cached is None:
-            self.cache_misses += 1
-            order = np.argsort(priority_matrix, axis=1, kind="stable")
-            p_sorted = None
-        else:
-            self.cache_hits += 1
-            order, p_sorted = cached
-        if self.config.cache_tolerance is not None:
-            self._cached_ids = ids
-            self._cached_estimates = c.copy()
-            self._cached_order = order
-        feasible = self._feasible_rows(
-            priority_matrix, order, c, rem, base, n_p, p_sorted
-        )
-        indices = np.nonzero(feasible)[0]
-        if indices.size == 0:
-            return None
-        return float(gammas[indices[-1]])
-
-    def gamma_breakpoints(
-        self,
-        jobs: Sequence[Job],
-        now: float,
-        exec_estimate: Callable[[Job], float],
-    ) -> List[float]:
-        """The pairwise γ crossings of Eq. (10) inside ``[0, gamma_cap]``.
-
-        ``P_i(γ) = P_j(γ)`` at ``γ* = (d_j − d_i)/(p_i − p_j)`` for jobs of
-        unequal configured priority; the induced ordering — and with it the
-        Eq. (11) verdict — is constant between consecutive crossings.
-        """
-        p, slack, _, _ = self._queue_arrays(jobs, now, exec_estimate)
-        return [float(g) for g in self._crossings(p, slack)]
-
-    def _crossings(self, p: np.ndarray, slack: np.ndarray) -> np.ndarray:
-        dp = p[:, None] - p[None, :]
-        ds = slack[None, :] - slack[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = ds / dp
-        keep = (dp != 0) & np.isfinite(cross)
-        # Closed interval: γ=0 and γ=gamma_cap are grid points, and a
-        # crossing landing exactly on one changes its tie grouping relative
-        # to the adjacent segment's interior (tied jobs exempt each other
-        # from Eq. (11) backlog), so the endpoints need their own verdicts.
-        keep &= (cross >= 0.0) & (cross <= self.config.gamma_cap)
-        return np.unique(np.abs(cross[keep]))
-
-    def _gamma_max_breakpoint(
-        self,
-        jobs: Sequence[Job],
-        now: float,
-        exec_estimate: Callable[[Job], float],
-        busy_remaining: float,
-        n_processors: int,
-    ) -> Optional[float]:
-        p, slack, c, rem = self._queue_arrays(jobs, now, exec_estimate)
-        n_p = max(1, n_processors)
-        base = busy_remaining / n_p
-        cfg = self.config
-        step = cfg.gamma_cap / (cfg.resolution - 1)
-        breakpoints = self._crossings(p, slack)
-        verdicts: Dict[Tuple[str, int], bool] = {}
-        for i in range(cfg.resolution - 1, -1, -1):
-            gamma = i * step
-            lo = int(np.searchsorted(breakpoints, gamma, side="left"))
-            hi = int(np.searchsorted(breakpoints, gamma, side="right"))
-            # A grid point landing exactly on a crossing has its own tie
-            # grouping; interior points share their segment's verdict.
-            key = ("bp", lo) if lo != hi else ("seg", lo)
-            feasible = verdicts.get(key)
-            if feasible is None:
-                row = np.array([gamma])[:, None] * p[None, :] + slack[None, :]
-                order = np.argsort(row, axis=1, kind="stable")
-                feasible = bool(self._feasible_rows(row, order, c, rem, base, n_p)[0])
-                verdicts[key] = feasible
-            if feasible:
-                return gamma
-        return None
-
     def gamma_max(
         self,
         jobs: Sequence[Job],
@@ -456,23 +242,33 @@ class DynamicPriorityPolicy:
 
         Feasibility is *not* monotone in γ in general, but taking the
         largest feasible grid point implements the paper's "allowable range
-        [0, γ_max]" faithfully for practical queues.  All three modes
-        return the same value (property-tested); they differ only in cost.
+        [0, γ_max]" faithfully for practical queues.  Equal to walking the
+        grid from the top with :meth:`is_feasible` (property-tested).
         """
+        cfg = self.config
         if not jobs:
-            return self.config.gamma_cap
-        mode = self.config.mode
-        if mode == "scalar":
-            return self._gamma_max_scalar(
-                jobs, now, exec_estimate, busy_remaining, n_processors
-            )
-        if mode == "breakpoint":
-            return self._gamma_max_breakpoint(
-                jobs, now, exec_estimate, busy_remaining, n_processors
-            )
-        return self._gamma_max_vectorized(
-            jobs, now, exec_estimate, busy_remaining, n_processors
-        )
+            return cfg.gamma_cap
+        n_p = max(1, n_processors)
+        base = busy_remaining / n_p
+        rows = []
+        for job in jobs:
+            est = exec_estimate(job)
+            ad = job.absolute_deadline
+            # slack replays latest_start(est) - now: ((release + D) - est) - now.
+            rows.append((job.task.priority, (ad - est) - now, est, ad - now))
+        # Grid points are i · step, the same floats the reference walk tests.
+        step = cfg.gamma_cap / (cfg.resolution - 1)
+        top = (cfg.resolution - 1) * step
+        if self._feasible_at(top, rows, base, n_p):
+            return top
+        p, slack, c, rem = (np.array(col) for col in zip(*rows))
+        gammas = np.arange(cfg.resolution) * step
+        priority_matrix = gammas[:, None] * p + slack
+        order = np.argsort(priority_matrix, axis=1, kind="stable")
+        indices = np.nonzero(self._feasible_rows(priority_matrix, order, c, rem, base, n_p))[0]
+        if indices.size == 0:
+            return None
+        return float(gammas[indices[-1]])
 
     # ------------------------------------------------------------------
     # Eq. (12): map nominal u to actual γ

@@ -15,6 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.discomfort import DiscomfortReport, discomfort
 from ..analysis.stats import rms, rms_series
+from ..core.coordinator import GammaHistory
 from ..rt.executor import RTExecutor
 from ..rt.metrics import MetricsRecorder
 from ..schedulers import Scheduler, make_scheduler
@@ -41,7 +42,10 @@ class RunResult:
     utilization: float
     final_rates: Dict[str, float]
     horizon: float
-    gamma_history: List[Tuple[float, float]] = field(default_factory=list)
+    #: The coordinator's (t, γ) ring for HCPerf runs, an empty list otherwise.
+    gamma_history: Union[GammaHistory, List[Tuple[float, float]]] = field(
+        default_factory=list
+    )
     #: Fraction of γ-resolutions where Eq. (11) was infeasible (HCPerf only).
     overload_duty_cycle: float = 0.0
     #: §V gain resets the Task Rate Adapter performed (HCPerf only).
@@ -231,9 +235,7 @@ def run_scenario(
         utilization=executor.utilization(),
         final_rates=executor.rates(),
         horizon=executor.now,
-        gamma_history=(
-            list(sched.coordinator.gamma_history) if is_hcperf else []
-        ),
+        gamma_history=sched.coordinator.gamma_history if is_hcperf else [],
         overload_duty_cycle=(
             # .total counts every resolution ever appended, so the duty
             # cycle stays correct even after the bounded ring evicts samples.

@@ -177,7 +177,9 @@ def check_outcome_deadline(rec: Recorder) -> List[Violation]:
     for span in rec.spans():
         if span.outcome == "kill":
             continue  # a killed job's interval ends at the failure instant
-        on_time = span.finish <= span.deadline + _EPS
+        # The executor's own rule, compared exactly: JSONL floats round-trip
+        # bit-exact, so a tolerance would only call one-ulp misses on time.
+        on_time = span.finish <= span.deadline
         if span.outcome == "complete" and not on_time:
             out.append(
                 Violation(

@@ -69,6 +69,42 @@ class TestGammaHistoryRing:
         assert ring.total == 5 and ring.dropped == 2
         assert [t for t, _ in ring] == [2.0, 3.0, 4.0]
 
+    def test_wrap_around_keeps_time_order(self):
+        # Evicting several times moves the oldest slot around the buffer;
+        # every view must still read oldest-to-newest.
+        ring = GammaHistory(3)
+        for i in range(7):
+            ring.append((float(i), i / 10))
+        expected = [(4.0, 0.4), (5.0, 0.5), (6.0, 0.6)]
+        assert list(ring) == expected and ring == expected
+        assert [ring[i] for i in range(3)] == expected
+        assert ring.total == 7 and ring.dropped == 4
+
+    def test_negative_indices_and_slices_after_wrap(self):
+        ring = GammaHistory(4)
+        for i in range(6):
+            ring.append((float(i), 2.0 * i))
+        samples = [(2.0, 4.0), (3.0, 6.0), (4.0, 8.0), (5.0, 10.0)]
+        for i in range(-4, 4):
+            assert ring[i] == samples[i]
+        for index in (-5, 4):
+            with pytest.raises(IndexError):
+                ring[index]
+        assert ring[1:3] == samples[1:3]
+        assert ring[::-1] == samples[::-1]
+        assert ring[-2:] == samples[-2:]
+        assert ring[::2] == samples[::2]
+
+    def test_equality_between_rings(self):
+        a, b = GammaHistory(2), GammaHistory(5)
+        for i in range(3):
+            a.append((float(i), 0.5))
+        b.append((1.0, 0.5))
+        b.append((2.0, 0.5))
+        assert a == b and a == ((1.0, 0.5), (2.0, 0.5))
+        b.append((3.0, 0.5))
+        assert a != b
+
     def test_clear_resets_counters(self):
         ring = GammaHistory(2)
         for i in range(4):

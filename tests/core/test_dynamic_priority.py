@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DynamicPriorityConfig, DynamicPriorityPolicy
+from repro.core import DynamicPriorityConfig, DynamicPriorityPolicy, GammaSearchResult
 from repro.rt import ConstantExecTime, Job, TaskSpec
 
 
@@ -171,67 +171,103 @@ class TestResolve:
         assert result.overloaded and result.gamma == 0.0 and not result.feasible
 
 
-def _modes(**overrides):
-    """One policy per γ search mode, identically configured."""
-    return {
-        mode: DynamicPriorityPolicy(DynamicPriorityConfig(mode=mode, **overrides))
-        for mode in ("scalar", "vectorized", "breakpoint")
-    }
+def _oracle_gamma_max(policy, jobs, now, busy, n_p):
+    """Brute force: walk the grid top-down with ``is_feasible``."""
+    cfg = policy.config
+    if not jobs:
+        return cfg.gamma_cap
+    step = cfg.gamma_cap / (cfg.resolution - 1)
+    for i in range(cfg.resolution - 1, -1, -1):
+        gamma = i * step
+        if policy.is_feasible(gamma, jobs, now, EST, busy, n_p):
+            return gamma
+    return None
 
 
-def _assert_modes_agree(jobs, now, busy, n_p, **overrides):
-    results = {
-        mode: policy.resolve(0.01, jobs, now, EST, busy, n_p)
-        for mode, policy in _modes(**overrides).items()
-    }
-    scalar = results["scalar"]
-    for mode in ("vectorized", "breakpoint"):
-        # Bitwise equality, not approx: the batched paths replay the scalar
-        # oracle's float operations exactly.
-        assert results[mode] == scalar, (mode, results[mode], scalar)
-    return scalar
+class CountingPolicy(DynamicPriorityPolicy):
+    """Counts the searches that fell back to the numpy grid."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.grid_walks = 0
+
+    def _feasible_rows(self, *args):
+        self.grid_walks += 1
+        return DynamicPriorityPolicy._feasible_rows(*args)
+
+
+def _assert_matches_oracle(jobs, now, busy, n_p, **overrides):
+    policy = CountingPolicy(DynamicPriorityConfig(**overrides))
+    expected = _oracle_gamma_max(policy, jobs, now, busy, n_p)
+    result = policy.resolve(0.01, jobs, now, EST, busy, n_p)
+    # Bitwise equality, not approx: both search paths replay the reference
+    # rule's float operations exactly.
+    assert result == GammaSearchResult(
+        gamma_max=expected,
+        gamma=DynamicPriorityPolicy.clamp_gamma(0.01, expected),
+        overloaded=expected is None,
+    )
+    # The scalar top-point test alone must settle every top-feasible queue;
+    # only the others may (and must) build the numpy grid.
+    cfg = policy.config
+    top = (cfg.resolution - 1) * (cfg.gamma_cap / (cfg.resolution - 1))
+    assert policy.grid_walks == (0 if not jobs or expected == top else 1)
+    return result
 
 
 class TestSearchModeAgreement:
-    """Scalar oracle vs vectorized grid vs breakpoint walk (tentpole)."""
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DynamicPriorityConfig(mode="magic")
-        with pytest.raises(ValueError):
-            DynamicPriorityConfig(cache_tolerance=-0.1)
+    """Both paths of the γ_max search — the top-point early exit and the
+    numpy grid fallback — against a top-down ``is_feasible`` grid walk."""
 
     def test_empty_queue(self):
-        result = _assert_modes_agree([], 0.0, 0.0, 2)
+        result = _assert_matches_oracle([], 0.0, 0.0, 2)
         assert result.gamma_max == DynamicPriorityConfig().gamma_cap
 
     def test_exact_equal_priority_ties(self):
         # Identical triplets: P_i ties exactly at every γ, exercising the
-        # equal-P grouping (strict inequality in Eq. 11) in all modes.
+        # equal-P grouping (strict inequality in Eq. 11).
         jobs = [job(f"t{i}", priority=2, exec_time=0.04, deadline=0.1) for i in range(3)]
         jobs += [job(f"u{i}", priority=5, exec_time=0.01, deadline=0.3) for i in range(2)]
-        _assert_modes_agree(jobs, 0.0, 0.0, 1)
+        _assert_matches_oracle(jobs, 0.0, 0.0, 1)
 
     def test_overloaded_queue(self):
         jobs = [job(f"t{i}", priority=i % 3, exec_time=0.2, deadline=0.1) for i in range(4)]
-        result = _assert_modes_agree(jobs, 0.0, 0.0, 1)
-        assert result.overloaded
+        assert _assert_matches_oracle(jobs, 0.0, 0.0, 1).overloaded
+        # A job that fits an idle processor but not behind 0.06 s of
+        # in-flight work.
+        jobs = [job(exec_time=0.05, deadline=0.1)]
+        assert not _assert_matches_oracle(jobs, 0.0, 0.0, 1).overloaded
+        assert _assert_matches_oracle(jobs, 0.0, 0.06, 1).overloaded
 
     def test_grid_point_on_breakpoint(self):
-        # Two jobs whose P_i crossing lands near a coarse grid point; the
-        # breakpoint walk must evaluate the exact-hit point on its own.
+        # Two jobs whose P_i crossing γ* = 0.01 is a coarse grid point
+        # (2 · 0.02/4); in floats the two P_i there differ by one ulp, so
+        # the order on each side of it is decided by rounding alone.
         a = job("a", priority=3, exec_time=0.01, deadline=0.1)
         b = job("b", priority=1, exec_time=0.01, deadline=0.12)
-        _assert_modes_agree([a, b], 0.0, 0.0, 1, gamma_cap=0.02, resolution=5)
+        _assert_matches_oracle([a, b], 0.0, 0.0, 1, gamma_cap=0.02, resolution=5)
 
-    def test_gamma_breakpoints_enumerates_crossings(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(gamma_cap=1.0))
-        a = job("a", priority=3, exec_time=0.01, deadline=0.1)
-        b = job("b", priority=1, exec_time=0.01, deadline=0.12)
-        points = policy.gamma_breakpoints([a, b], 0.0, EST)
-        assert len(points) == 1
-        # γ* = (slack_b − slack_a)/(p_a − p_b) = 0.02/2
-        assert points[0] == pytest.approx(0.01)
+    def test_top_infeasible_lower_point_feasible(self):
+        # At the top of the grid 'light' outranks 'heavy' and its backlog
+        # breaks heavy's deadline, so the numpy grid fallback has to find
+        # the largest γ that still runs heavy first.
+        heavy = job("heavy", priority=9, exec_time=0.05, deadline=0.06)
+        light = job("light", priority=1, exec_time=0.05, deadline=1.0)
+        # Same shape, but the lower points are feasible only because the two
+        # tied jobs 'a' and 'b' do not count toward each other's backlog.
+        a = job("a", priority=9, exec_time=0.06, deadline=0.1)
+        b = job("b", priority=9, exec_time=0.06, deadline=0.1)
+        c = job("c", priority=0, exec_time=0.05, deadline=1.0)
+        for jobs in ([heavy, light], [a, b, c]):
+            result = _assert_matches_oracle(jobs, 0.0, 0.0, 1, gamma_cap=1.0, resolution=101)
+            assert result.feasible and 0.0 < result.gamma_max < 1.0
+
+    def test_top_feasible_queue_skips_numpy_grid(self):
+        # The common case: the top grid point is feasible, so the numpy grid
+        # is never built (checked inside the helper).
+        jobs = [job(f"t{i}", priority=i + 1, exec_time=0.001, deadline=1.0) for i in range(4)]
+        result = _assert_matches_oracle(jobs, 0.0, 0.0, 2)
+        assert result.gamma_max == DynamicPriorityConfig().gamma_cap
 
     @given(
         specs=st.lists(
@@ -254,78 +290,4 @@ class TestSearchModeAgreement:
             job(f"t{i}", priority=p, exec_time=c, deadline=d, release=r)
             for i, (p, c, d, r) in enumerate(specs)
         ]
-        _assert_modes_agree(jobs, now, busy, n_p)
-
-
-class TestOrderingCache:
-    """Cross-step sort-permutation reuse (vectorized mode)."""
-
-    def make_jobs(self, n=6):
-        return [
-            job(f"t{i}", priority=i % 3 + 1, exec_time=0.01 + 0.002 * i, deadline=0.5)
-            for i in range(n)
-        ]
-
-    def test_repeat_resolution_hits_cache(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        first = policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        second = policy.resolve(0.01, jobs, 0.001, EST, 0.0, 2)
-        assert policy.cache_misses == 1 and policy.cache_hits == 1
-        # The cached ordering can never change the result.
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.001, EST, 0.0, 2)
-        assert second == fresh
-        assert first.feasible
-
-    def test_membership_change_invalidates(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.resolve(0.01, jobs[:-1], 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-
-    def test_estimate_drift_invalidates(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=0.05))
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        drifted = lambda j: j.exec_time * 1.5  # 50% >> 5% tolerance
-        result = policy.resolve(0.01, jobs, 0.0, drifted, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.0, drifted, 0.0, 2)
-        assert result == fresh
-
-    def test_small_drift_still_hits_and_matches_fresh_sort(self):
-        policy = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=0.05))
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        nudged = lambda j: j.exec_time * 1.01  # within tolerance
-        result = policy.resolve(0.01, jobs, 0.0, nudged, 0.0, 2)
-        assert policy.cache_hits == 1
-        fresh = DynamicPriorityPolicy(
-            DynamicPriorityConfig(cache_tolerance=None)
-        ).resolve(0.01, jobs, 0.0, nudged, 0.0, 2)
-        assert result == fresh
-
-    def test_tied_orderings_never_reuse(self):
-        # Equal-P rows fail strict-sort validation, so ties always re-sort.
-        policy = DynamicPriorityPolicy()
-        jobs = [job(f"t{i}", priority=2, exec_time=0.01, deadline=0.2) for i in range(3)]
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-
-    def test_invalidate_cache_and_none_tolerance(self):
-        policy = DynamicPriorityPolicy()
-        jobs = self.make_jobs()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        policy.invalidate_cache()
-        policy.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert policy.cache_hits == 0 and policy.cache_misses == 2
-        disabled = DynamicPriorityPolicy(DynamicPriorityConfig(cache_tolerance=None))
-        disabled.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        disabled.resolve(0.01, jobs, 0.0, EST, 0.0, 2)
-        assert disabled.cache_hits == 0 and disabled.cache_misses == 2
+        _assert_matches_oracle(jobs, now, busy, n_p)

@@ -1,5 +1,7 @@
 """Each invariant of the catalog fires on a targeted bad recording."""
 
+import math
+
 from repro.obs.events import (
     DropEvent,
     GammaEvent,
@@ -118,6 +120,16 @@ class TestOBS004OutcomeDeadline:
     def test_kill_is_exempt(self):
         rec = recording(span(finish=0.05, deadline=0.1, outcome="kill"))
         assert INVARIANTS["OBS004"][1](rec) == []
+
+    def test_one_ulp_late_is_a_miss(self):
+        # The executor calls a job on time iff finish <= deadline exactly.
+        late = math.nextafter(0.1, 1.0)
+        missed = recording(span(finish=late, deadline=0.1, outcome="miss"))
+        assert INVARIANTS["OBS004"][1](missed) == []
+        completed = recording(span(finish=late, deadline=0.1, outcome="complete"))
+        assert "OBS004" in codes(INVARIANTS["OBS004"][1](completed))
+        at_deadline = recording(span(finish=0.1, deadline=0.1, outcome="complete"))
+        assert INVARIANTS["OBS004"][1](at_deadline) == []
 
 
 class TestOBS005GammaBounds:

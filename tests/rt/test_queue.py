@@ -3,6 +3,7 @@
 import pytest
 
 from repro.rt import ConstantExecTime, Job, ReadyQueue, TaskSpec
+from repro.rt.view import ProcessorState
 
 
 def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding=None):
@@ -14,6 +15,12 @@ def job(name="t", priority=1, release=0.0, exec_time=0.01, deadline=0.1, binding
         processor_binding=binding,
     )
     return Job(task=spec, release_time=release, exec_time=exec_time)
+
+
+def can_run_on(index):
+    """The executor's dispatch filter for one processor (binding + affinity)."""
+    processor = ProcessorState(index)
+    return lambda j: processor.can_run(j.task)
 
 
 class TestBasicOps:
@@ -84,27 +91,17 @@ class TestPopBest:
         q.push(bound)
         q.push(free)
         # Processor 1 cannot run the bound job even though it ranks better.
-        picked = q.pop_best(key=lambda j: j.task.priority, processor=1)
+        picked = q.pop_best(key=lambda j: j.task.priority, predicate=can_run_on(1))
         assert picked is free
         # Processor 0 may run it.
-        picked0 = q.pop_best(key=lambda j: j.task.priority, processor=0)
+        picked0 = q.pop_best(key=lambda j: j.task.priority, predicate=can_run_on(0))
         assert picked0 is bound
 
     def test_pop_best_no_eligible_returns_none(self):
         q = ReadyQueue()
         q.push(job("bound", binding=0))
-        assert q.pop_best(key=lambda j: 0.0, processor=3) is None
-
-
-class TestEligible:
-    def test_eligible_includes_unbound(self):
-        q = ReadyQueue()
-        a = job("a")
-        b = job("b", binding=2)
-        q.push(a)
-        q.push(b)
-        assert q.eligible(2) == [a, b]
-        assert q.eligible(0) == [a]
+        assert q.pop_best(key=lambda j: 0.0, predicate=can_run_on(3)) is None
+        assert len(q) == 1
 
 
 class TestDropExpired:
