@@ -17,11 +17,12 @@ Semantics (paper §III-A, resolved per DESIGN.md §2):
   on *any* fresh input, merging the latest retained value per other edge
   (fusion-pattern activation; see docs/heterogeneous.md).
 * Dispatch is non-preemptive; at every opportunity the active scheduler
-  ranks the ready queue and the lowest-rank eligible job runs.  On typed
-  platforms a job is only eligible for units inside its task's affinity
-  set, and its sampled execution time is divided by the unit's effective
-  speedup.  The identity profile (all-CPU, speedup 1.0) reproduces the
-  scalar model byte-for-byte (pinned by ``tests/differential``).
+  ranks the ready queue once, and each free processor runs the lowest-rank
+  job it is eligible for.  On typed platforms a job is only eligible for
+  units inside its task's affinity set, and its sampled execution time is
+  divided by the unit's effective speedup.  The identity profile (all-CPU,
+  speedup 1.0) reproduces the scalar model byte-for-byte (pinned by
+  ``tests/differential``).
 * A job finishing after ``release + D_i`` counts as a **miss** and delivers
   nothing downstream; queued jobs whose deadline passes are dropped (also
   misses) when the scheduler's ``drop_expired`` flag is set.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
@@ -226,6 +227,17 @@ class RTExecutor:
         for src in graph.sources():
             assert src.rate is not None  # guaranteed by graph.validate()
             self._rates[src.name] = src.rate
+        # The validated graph's structure is fixed for the run, so delivery
+        # reads these tables instead of re-deriving (and re-sorting) it.
+        self._sinks: FrozenSet[str] = frozenset(
+            t.name for t in graph if graph.kind(t.name) is TaskKind.SINK
+        )
+        self._succ: Dict[str, List[TaskSpec]] = {
+            t.name: graph.isucc(t.name) for t in graph
+        }
+        self._pred_names: Dict[str, FrozenSet[str]] = {
+            t.name: frozenset(p.name for p in graph.ipred(t.name)) for t in graph
+        }
 
         self.view = SystemView(
             graph=self.graph,
@@ -442,9 +454,9 @@ class RTExecutor:
         if self.recorder is not None:
             self.recorder.release(job)
         # Bounded channel: evict the oldest queued job of the same task.
-        queued_same = [j for j in self.ready if j.task.name == spec.name]
-        if len(queued_same) >= self.config.max_pending_per_task:
-            victim = queued_same[0]
+        if self.ready.count(spec.name) >= self.config.max_pending_per_task:
+            victim = self.ready.oldest(spec.name)
+            assert victim is not None
             self.ready.remove(victim)
             victim.state = JobState.MISSED
             victim.finish_time = self.now
@@ -485,7 +497,7 @@ class RTExecutor:
     def _deliver(self, job: Job) -> None:
         """Propagate a completed job's output to its successors."""
         spec = job.task
-        if self.graph.kind(spec.name) is TaskKind.SINK:
+        if spec.name in self._sinks:
             response = job.response_time or 0.0
             if self.recorder is not None:
                 self.recorder.control(self.now, response)
@@ -493,7 +505,7 @@ class RTExecutor:
             if self.on_control is not None:
                 self.on_control(job, self.now)
             return
-        for succ in self.graph.isucc(spec.name):
+        for succ in self._succ[spec.name]:
             pending = self._pending_inputs[succ.name]
             pending[spec.name] = dict(job.provenance)
             if succ.activation == "newest-only":
@@ -505,8 +517,7 @@ class RTExecutor:
                 # never delivered simply contributes nothing yet.
                 self._release_job(succ, provenance=self._merge_pending(pending))
                 continue
-            needed = {p.name for p in self.graph.ipred(succ.name)}
-            if needed.issubset(pending.keys()):
+            if self._pred_names[succ.name] <= pending.keys():
                 merged = self._merge_pending(pending)
                 pending.clear()
                 self._release_job(succ, provenance=merged)
@@ -582,13 +593,14 @@ class RTExecutor:
         if not free or not self.ready:
             return
         self.scheduler.on_dispatch_round(self.now, self.view)
+        # One ranking per round (the rank contract in rt/queue.py).
+        rank, eligible = self.scheduler.rank, self.scheduler.eligible
+        now, view = self.now, self.view
+        ranking = self.ready.ranked(lambda j: rank(j, now, view))
         for proc in free:
             if not self.ready:
                 break
-            job = self.ready.pop_best(
-                key=lambda j: self.scheduler.rank(j, self.now, self.view),
-                predicate=lambda j: self.scheduler.eligible(j, proc),
-            )
+            job = self.ready.pop_best(ranking, lambda j: eligible(j, proc))
             if job is None:
                 continue  # nothing eligible for this (bound/typed) processor
             job.state = JobState.RUNNING

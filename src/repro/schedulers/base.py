@@ -58,14 +58,22 @@ class Scheduler:
         """
 
     def rank(self, job: Job, now: float, view: SystemView) -> float:
-        """Dispatch key for ``job`` — the smallest rank runs next."""
+        """Dispatch key for ``job`` — the smallest rank runs next.
+
+        The executor calls this exactly once per queued job per dispatch
+        round, after :meth:`on_dispatch_round`, and sorts the queue by it
+        (ties keep release order); every free processor of the round then
+        takes the first job of that ranking it is :meth:`eligible` for.
+        A rank must therefore not depend on processor state that changes
+        within a round (which processors are busy, ``busy_until``).
+        """
         raise NotImplementedError
 
     def eligible(self, job: Job, processor: ProcessorState) -> bool:
         """Whether ``job`` may be dispatched to ``processor``.
 
-        The executor filters the ready queue through this before ranking,
-        so every policy — EDF, HPF, HCPerf and the rest — is affinity-aware
+        The executor walks the round's ranking through this, so every
+        policy — EDF, HPF, HCPerf and the rest — is affinity-aware
         on typed :class:`~repro.rt.resources.ProcessorProfile` platforms
         through this one check.  The base rule admits a job iff the
         processor satisfies the task's static binding *and* its typed-unit

@@ -139,6 +139,42 @@ def test_hc003_wrong_hook_arity(tmp_path):
     assert "takes 2 positional parameter(s)" in diags[0].message
 
 
+def test_hc003_wrong_eligible_arity(tmp_path):
+    write_tree(
+        tmp_path,
+        {
+            "repro/schedulers/placement.py": (
+                "from .base import Scheduler\n"
+                "\n"
+                "class Reserving(Scheduler):\n"
+                "    def rank(self, job, now, view):\n"
+                "        return 0\n"
+                "\n"
+                "    def eligible(self, job):\n"
+                "        return True\n"
+                "\n"
+                "class Placing(Scheduler):\n"
+                "    def rank(self, job, now, view):\n"
+                "        return 0\n"
+                "\n"
+                "    def eligible(self, job, processor):\n"
+                "        return processor.can_run(job.task)\n"
+            )
+        },
+    )
+    diags = run_lint([tmp_path], root=tmp_path)
+    assert [(d.rule, d.line) for d in diags] == [("HC003", 7)]
+    assert "Reserving.eligible takes 2 positional parameter(s)" in diags[0].message
+
+
+def test_hc003_shipped_schedulers_are_clean():
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    diags = run_lint([src / "repro" / "schedulers"], root=src)
+    assert [d for d in diags if d.rule == "HC003"] == []
+
+
 def test_hc006_is_a_warning_and_tolerates_sanctioned_helpers(tmp_path):
     write_tree(
         tmp_path,

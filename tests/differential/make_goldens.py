@@ -4,10 +4,10 @@ Run from the repo root::
 
     PYTHONPATH=src:tests python tests/differential/make_goldens.py
 
-The committed goldens were produced at the commit *before* the typed
-processor model landed; regenerate them only if the executor's observable
-semantics change intentionally (and say so in the PR — every byte diff
-here is a semantic diff of the homogeneous platform).
+The committed goldens were produced before the executor changes they pin
+(see ``harness.py``); regenerate them only if the executor's observable
+semantics change intentionally (and say so in the change — every byte diff
+here is a semantic diff of the platform).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from differential.harness import (
     GOLDEN_DIR,
     GRID,
+    TYPED_CELL,
     golden_paths,
     record_run,
     write_golden_trace,
@@ -29,9 +30,11 @@ from differential.harness import (
 
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for scheduler, seed in GRID:
-        trace, metrics = record_run(scheduler, seed)
-        trace_path, metrics_path = golden_paths(scheduler, seed)
+    cells = [(s, seed, "fig13") for s, seed in GRID]
+    cells.append((*TYPED_CELL, "heterogeneous"))
+    for scheduler, seed, scenario in cells:
+        trace, metrics = record_run(scheduler, seed, scenario_name=scenario)
+        trace_path, metrics_path = golden_paths(scheduler, seed, scenario)
         write_golden_trace(trace_path, trace)
         metrics_path.write_text(metrics)
         print(f"wrote {trace_path.name} ({len(trace)} bytes raw) and {metrics_path.name}")

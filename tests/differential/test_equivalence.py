@@ -10,7 +10,8 @@ dispatch path (unit compatibility check, speedup scaling, typed span
 metadata gating) and proves it collapses exactly to the old scalar model.
 
 A second pass leaves the config untouched, pinning that the default
-no-profile path is also still byte-identical.
+no-profile path is also still byte-identical, and a third replays one cell
+on the typed ``2xCPU+1xGPU@3`` platform.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ import pytest
 
 from repro.rt.resources import ProcessorProfile
 
-from .harness import GRID, golden_paths, read_golden_trace, record_run
+from .harness import GRID, TYPED_CELL, golden_paths, read_golden_trace, record_run
 
 #: fig13's platform is 2 processors; the identity profile mirrors it.
 IDENTITY = ProcessorProfile.homogeneous(2)
 
 
-def _golden(scheduler: str, seed: int) -> tuple[str, str]:
-    trace_path, metrics_path = golden_paths(scheduler, seed)
+def _golden(scheduler: str, seed: int, scenario: str = "fig13") -> tuple[str, str]:
+    trace_path, metrics_path = golden_paths(scheduler, seed, scenario)
     assert trace_path.exists() and metrics_path.exists(), (
         f"missing golden for ({scheduler}, seed={seed}); "
         "regenerate with make_goldens.py at the pre-refactor commit"
@@ -67,5 +68,16 @@ class TestDefaultPathEquivalence:
         """The canonical string form of the identity platform is identity too."""
         golden_trace, golden_metrics = _golden("EDF", 1)
         trace, metrics = record_run("EDF", 1, sim_overrides={"processor_profile": "2xCPU"})
+        assert metrics == golden_metrics
+        assert trace == golden_trace
+
+
+class TestTypedPlatform:
+    """Typed dispatch (affinity filter, speedup scaling) stays byte-identical."""
+
+    def test_heterogeneous_cell_matches_golden(self):
+        scheduler, seed = TYPED_CELL
+        golden_trace, golden_metrics = _golden(scheduler, seed, "heterogeneous")
+        trace, metrics = record_run(scheduler, seed, scenario_name="heterogeneous")
         assert metrics == golden_metrics
         assert trace == golden_trace
