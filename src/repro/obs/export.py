@@ -21,7 +21,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
-from .events import event_from_dict
+from .events import _from_payload
 from .recorder import SCHEMA, Recorder
 
 __all__ = [
@@ -40,8 +40,11 @@ _CHROME_PHASES = frozenset({"X", "i", "C", "M"})
 _US = 1_000_000.0  # seconds -> microseconds
 
 
-def _dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=False)
+#: The one compact encoder and decoder every JSONL line goes through.
+#: ``json.dumps`` with non-default separators builds a new encoder per call;
+#: these are built once (same output as ``json.dumps``/``json.loads``).
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().decode
 
 
 def to_chrome_trace(rec: Recorder) -> Dict[str, Any]:
@@ -191,31 +194,47 @@ def validate_chrome_trace(trace: Any) -> List[str]:
 def to_jsonl(rec: Recorder) -> str:
     """Byte-stable JSONL: one meta line, then one line per event."""
     meta = {"ev": "meta"}
-    meta.update(rec.to_dict()["meta"])
+    meta.update((k, v) for k, v in rec.meta.items() if k != "schema")
     meta["schema"] = SCHEMA
-    lines = [_dumps(meta)]
-    lines.extend(_dumps(e.to_dict()) for e in rec.events)
+    lines = [_encode(meta)]
+    lines.extend([_encode(e.to_dict()) for e in rec.events])
     return "\n".join(lines) + "\n"
 
 
 def from_jsonl(text: str) -> Recorder:
-    """Rebuild a recording from its JSONL export."""
+    """Rebuild a recording from its JSONL export.
+
+    Blank lines are skipped; the first other line must be the meta line.
+    Malformed input raises ``ValueError("line N: ...")`` with N counted in
+    ``text``: bad JSON, a line that is not a JSON object, a missing meta
+    line, an unsupported schema, or an event that does not rebuild.
+    """
     rec = Recorder()
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
+    append = rec.events.append
+    has_meta = False
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line or line.isspace():
             continue
-        data = json.loads(line)
-        if data.get("ev") == "meta":
+        try:
+            data = _decode(line)
+            if not isinstance(data, dict):
+                raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+            if has_meta:
+                append(_from_payload(data))
+                continue
+            if data.pop("ev", None) != "meta":
+                raise ValueError("the first line must be the meta line")
             schema = data.pop("schema", None)
             if schema != SCHEMA:
                 raise ValueError(f"unsupported recording schema {schema!r}")
-            data.pop("ev")
             rec.meta.update(data)
-            continue
-        try:
-            rec.emit(event_from_dict(data))
+            has_meta = True
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {n}: {exc.msg} at column {exc.colno}") from exc
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"line {i + 1}: {exc}") from exc
+            raise ValueError(f"line {n}: {exc}") from exc
+    if not has_meta:
+        raise ValueError("line 1: no meta line (empty recording)")
     return rec
 
 

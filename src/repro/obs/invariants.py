@@ -36,9 +36,10 @@ account for every job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from .events import (
+    ControlEvent,
     DropEvent,
     GammaEvent,
     RateEvent,
@@ -66,24 +67,74 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+_Resolution = Union[SpanEvent, DropEvent, UnresolvedEvent]
+
+
+class _Split:
+    """A recording's events grouped by kind in one pass (stream order kept).
+
+    Every check reads its kinds from here, so :func:`check_recording` walks
+    the event stream once for the whole catalog.
+    """
+
+    def __init__(self, rec: Recorder) -> None:
+        self.rec = rec
+        self.spans: List[SpanEvent] = []
+        self.releases: List[ReleaseEvent] = []
+        self.drops: List[DropEvent] = []
+        #: Spans, drops and unresolved markers interleaved in stream order.
+        self.resolutions: List[_Resolution] = []
+        self.gammas: List[GammaEvent] = []
+        self.windows: List[WindowEvent] = []
+        self.rates: List[RateEvent] = []
+        self.controls: List[ControlEvent] = []
+        for event in rec.events:
+            if isinstance(event, SpanEvent):
+                self.spans.append(event)
+                self.resolutions.append(event)
+            elif isinstance(event, ReleaseEvent):
+                self.releases.append(event)
+            elif isinstance(event, GammaEvent):
+                self.gammas.append(event)
+            elif isinstance(event, ControlEvent):
+                self.controls.append(event)
+            elif isinstance(event, DropEvent):
+                self.drops.append(event)
+                self.resolutions.append(event)
+            elif isinstance(event, UnresolvedEvent):
+                self.resolutions.append(event)
+            elif isinstance(event, WindowEvent):
+                self.windows.append(event)
+            elif isinstance(event, RateEvent):
+                self.rates.append(event)
+
+
 _Check = Callable[[Recorder], List[Violation]]
+_SplitCheck = Callable[[_Split], List[Violation]]
 
 #: Invariant id -> (description, check function); filled by ``_invariant``.
 INVARIANTS: Dict[str, Tuple[str, _Check]] = {}
 
+#: The same checks over a shared :class:`_Split`, for :func:`check_recording`.
+_SPLIT_CHECKS: Dict[str, _SplitCheck] = {}
 
-def _invariant(code: str, description: str) -> Callable[[_Check], _Check]:
-    def register(fn: _Check) -> _Check:
-        INVARIANTS[code] = (description, fn)
-        return fn
+
+def _invariant(code: str, description: str) -> Callable[[_SplitCheck], _Check]:
+    def register(fn: _SplitCheck) -> _Check:
+        def check(rec: Recorder) -> List[Violation]:
+            return fn(_Split(rec))
+
+        INVARIANTS[code] = (description, check)
+        _SPLIT_CHECKS[code] = fn
+        return check
 
     return register
 
 
 @_invariant("OBS001", "per-processor busy intervals never overlap")
-def check_no_overlap(rec: Recorder) -> List[Violation]:
+def check_no_overlap(split: _Split) -> List[Violation]:
     by_proc: Dict[int, List[SpanEvent]] = {}
-    for span in rec.spans():
+    for span in split.spans:
         by_proc.setdefault(span.processor, []).append(span)
     out: List[Violation] = []
     for proc, spans in sorted(by_proc.items()):
@@ -102,9 +153,9 @@ def check_no_overlap(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS002", "span and stream timestamps are ordered")
-def check_time_order(rec: Recorder) -> List[Violation]:
+def check_time_order(split: _Split) -> List[Violation]:
     out: List[Violation] = []
-    for span in rec.spans():
+    for span in split.spans:
         if span.start < span.release - _EPS:
             out.append(
                 Violation(
@@ -122,7 +173,7 @@ def check_time_order(rec: Recorder) -> List[Violation]:
                 )
             )
     last_t = 0.0
-    for event in rec.events:
+    for event in split.rec.events:
         if event.t < last_t - _EPS:
             out.append(
                 Violation(
@@ -136,23 +187,27 @@ def check_time_order(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS003", "every release resolves exactly once")
-def check_release_resolution(rec: Recorder) -> List[Violation]:
-    if rec.truncated:
+def check_release_resolution(split: _Split) -> List[Violation]:
+    if split.rec.truncated:
         return []
     releases: Dict[Tuple[str, int], int] = {}
+    for release in split.releases:
+        key = (release.task, release.cycle)
+        releases[key] = releases.get(key, 0) + 1
     resolutions: Dict[Tuple[str, int], List[str]] = {}
-    for event in rec.events:
-        if isinstance(event, ReleaseEvent):
-            releases[(event.task, event.cycle)] = releases.get((event.task, event.cycle), 0) + 1
-        elif isinstance(event, SpanEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append(event.outcome)
-        elif isinstance(event, DropEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append("drop")
-        elif isinstance(event, UnresolvedEvent):
-            resolutions.setdefault((event.task, event.cycle), []).append("unresolved")
+    for event in split.resolutions:
+        label = event.outcome if isinstance(event, SpanEvent) else event.kind  # drop/unresolved
+        key = (event.task, event.cycle)
+        resolutions.setdefault(key, []).append(label)
+    # Sort only the jobs that violate; a clean run sorts nothing.
+    bad = [
+        key for key, count in releases.items()
+        if count > 1 or len(resolutions.get(key, ())) != 1
+    ]
     out: List[Violation] = []
-    for key, count in sorted(releases.items()):
+    for key in sorted(bad):
         task, cycle = key
+        count = releases[key]
         if count > 1:
             out.append(Violation("OBS003", f"{task}#{cycle} released {count} times"))
         resolved = resolutions.get(key, [])
@@ -165,16 +220,16 @@ def check_release_resolution(rec: Recorder) -> List[Violation]:
                     f"(want exactly one of complete/miss/kill/drop/unresolved)",
                 )
             )
-    for key in sorted(set(resolutions) - set(releases)):
+    for key in sorted(resolutions.keys() - releases.keys()):
         task, cycle = key
         out.append(Violation("OBS003", f"{task}#{cycle} resolved without a release"))
     return out
 
 
 @_invariant("OBS004", "span outcomes match the deadline")
-def check_outcome_deadline(rec: Recorder) -> List[Violation]:
+def check_outcome_deadline(split: _Split) -> List[Violation]:
     out: List[Violation] = []
-    for span in rec.spans():
+    for span in split.spans:
         if span.outcome == "kill":
             continue  # a killed job's interval ends at the failure instant
         # The executor's own rule, compared exactly: JSONL floats round-trip
@@ -200,12 +255,10 @@ def check_outcome_deadline(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS005", "γ stays in [0, γ_max]")
-def check_gamma_bounds(rec: Recorder) -> List[Violation]:
+def check_gamma_bounds(split: _Split) -> List[Violation]:
     out: List[Violation] = []
-    gamma_cap = rec.meta.get("gamma_cap")
-    for event in rec.events:
-        if not isinstance(event, GammaEvent):
-            continue
+    gamma_cap = split.rec.meta.get("gamma_cap")
+    for event in split.gammas:
         if event.gamma < -_EPS:
             out.append(
                 Violation("OBS005", f"γ={event.gamma:.6g} < 0 at t={event.t:.6f}")
@@ -230,11 +283,9 @@ def check_gamma_bounds(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS006", "overload flags imply Eq. (11) infeasibility")
-def check_overload_flags(rec: Recorder) -> List[Violation]:
+def check_overload_flags(split: _Split) -> List[Violation]:
     out: List[Violation] = []
-    for event in rec.events:
-        if not isinstance(event, GammaEvent):
-            continue
+    for event in split.gammas:
         if event.overloaded != (event.gamma_max is None):
             out.append(
                 Violation(
@@ -256,11 +307,10 @@ def check_overload_flags(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS007", "coordination windows tile the run")
-def check_window_tiling(rec: Recorder) -> List[Violation]:
-    windows = [e for e in rec.events if isinstance(e, WindowEvent)]
+def check_window_tiling(split: _Split) -> List[Violation]:
     out: List[Violation] = []
     prev_end = 0.0
-    for w in windows:
+    for w in split.windows:
         if w.t < w.t_start - _EPS:
             out.append(
                 Violation(
@@ -281,10 +331,10 @@ def check_window_tiling(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS008", "window counters reconcile with the event stream")
-def check_window_counts(rec: Recorder) -> List[Violation]:
-    if rec.truncated:
+def check_window_counts(split: _Split) -> List[Violation]:
+    if split.rec.truncated:
         return []
-    windows = [e for e in rec.events if isinstance(e, WindowEvent)]
+    windows = split.windows
     if not windows:
         return []
     last_end = windows[-1].t
@@ -292,24 +342,11 @@ def check_window_counts(rec: Recorder) -> List[Violation]:
     win_missed = sum(w.missed for w in windows)
     win_commands = sum(w.control_commands for w in windows)
 
-    completed = missed = commands = 0
+    completed = missed = 0
     boundary_completed = boundary_missed = 0  # at the final window close
-    cmd_boundary = 0
-    for event in rec.events:
-        if isinstance(event, SpanEvent):
-            resolved_at = event.finish
-            is_miss = event.outcome in ("miss", "kill")
-        elif isinstance(event, DropEvent):
-            resolved_at = event.t
-            is_miss = True
-        elif event.kind == "control":
-            if event.t <= last_end + _EPS:
-                commands += 1
-                if abs(event.t - last_end) <= _EPS:
-                    cmd_boundary += 1
-            continue
-        else:
-            continue
+    resolutions = [(s.finish, s.outcome in ("miss", "kill")) for s in split.spans]
+    resolutions.extend((d.t, True) for d in split.drops)
+    for resolved_at, is_miss in resolutions:
         if resolved_at > last_end + _EPS:
             continue  # after the last window: not counted anywhere yet
         at_boundary = abs(resolved_at - last_end) <= _EPS
@@ -319,6 +356,12 @@ def check_window_counts(rec: Recorder) -> List[Violation]:
         else:
             completed += 1
             boundary_completed += int(at_boundary)
+    commands = cmd_boundary = 0
+    for control in split.controls:
+        if control.t <= last_end + _EPS:
+            commands += 1
+            if abs(control.t - last_end) <= _EPS:
+                cmd_boundary += 1
 
     out: List[Violation] = []
     # Events timestamped exactly at the final window close may have been
@@ -354,12 +397,10 @@ def check_window_counts(rec: Recorder) -> List[Violation]:
 
 
 @_invariant("OBS009", "rate retunes stay inside the allowable range")
-def check_rate_ranges(rec: Recorder) -> List[Violation]:
-    task_meta = rec.task_meta()
+def check_rate_ranges(split: _Split) -> List[Violation]:
+    task_meta = split.rec.task_meta()
     out: List[Violation] = []
-    for event in rec.events:
-        if not isinstance(event, RateEvent):
-            continue
+    for event in split.rates:
         meta = task_meta.get(event.task)
         if meta is None:
             out.append(
@@ -383,8 +424,8 @@ def check_rate_ranges(rec: Recorder) -> List[Violation]:
 
 def check_recording(rec: Recorder) -> List[Violation]:
     """Run the full invariant catalog; empty list = structurally sound."""
+    split = _Split(rec)
     out: List[Violation] = []
     for code in sorted(INVARIANTS):
-        _, fn = INVARIANTS[code]
-        out.extend(fn(rec))
+        out.extend(_SPLIT_CHECKS[code](split))
     return out

@@ -100,6 +100,27 @@ class TestJsonl:
         with pytest.raises(ValueError, match="line 2"):
             from_jsonl(text)
 
+    META = f'{{"ev":"meta","schema":"{SCHEMA}"}}\n'
+
+    def test_non_object_line_reported_with_number(self):
+        with pytest.raises(ValueError, match=r"^line 3: expected a JSON object, got list"):
+            from_jsonl(self.META + '{"ev":"control","t":0.0,"response":0.1}\n[1,2]\n')
+
+    def test_malformed_line_reported_with_its_file_line(self):
+        text = self.META + "\n" + '{"ev":"control","t":0.0,"response":0.1}\n{"ev":\n'
+        with pytest.raises(ValueError, match=r"^line 4: Expecting value at column 7$"):
+            from_jsonl(text)
+
+    def test_meta_line_must_come_first(self):
+        with pytest.raises(ValueError, match=r"^line 2: the first line must be the meta line"):
+            from_jsonl('\n{"ev":"control","t":0.0,"response":0.1}\n' + self.META)
+        with pytest.raises(ValueError, match=r"^line 1: no meta line"):
+            from_jsonl("\n \n")
+
+    def test_later_meta_line_is_not_an_event(self):
+        with pytest.raises(ValueError, match=r"^line 2: unknown event kind 'meta'"):
+            from_jsonl(self.META + self.META)
+
 
 class TestSaveLoad:
     def test_canonical_json_round_trip(self, recorded_run, tmp_path):
