@@ -38,7 +38,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from typing import TYPE_CHECKING
 
-from .events import Event, EventHeap, EventKind
+from .events import EventHeap, EventKind
 from .view import ProcessorState, SystemView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -301,7 +301,7 @@ class RTExecutor:
         if self._started:
             if time < self.now:
                 raise ValueError(f"one-shot {name!r} at {time} is in the past")
-            self._events.push(time, Event(EventKind.PERIODIC, (name, hook)))
+            self._events.push(time, EventKind.PERIODIC, (name, hook))
         else:
             self._oneshots.append((time, hook))
 
@@ -396,28 +396,27 @@ class RTExecutor:
             self.scheduler.recorder = self.recorder
         self._started = True
         for src in self.graph.sources():
-            self._events.push(0.0, Event(EventKind.SOURCE_RELEASE, src.name))
+            self._events.push(0.0, EventKind.SOURCE_RELEASE, src.name)
         self._events.push(
-            self.config.coordination_period,
-            Event(EventKind.PERIODIC, ("__coordination__", None)),
+            self.config.coordination_period, EventKind.PERIODIC, ("__coordination__", None)
         )
         for hook in self._periodic:
-            self._events.push(hook.period, Event(EventKind.PERIODIC, (hook.name, hook)))
+            self._events.push(hook.period, EventKind.PERIODIC, (hook.name, hook))
         for time, hook in self._oneshots:
-            self._events.push(time, Event(EventKind.PERIODIC, (hook.name, hook)))
+            self._events.push(time, EventKind.PERIODIC, (hook.name, hook))
 
         horizon = self.config.horizon
         while self._events and not self._stopped:
-            time, event = self._events.pop()
+            time, kind, payload = self._events.pop()
             if time > horizon:
                 break
             self.now = time
-            if event.kind is EventKind.SOURCE_RELEASE:
-                self._handle_source_release(event.payload)
-            elif event.kind is EventKind.JOB_FINISH:
-                self._handle_finish(event.payload)
+            if kind is EventKind.SOURCE_RELEASE:
+                self._handle_source_release(payload)
+            elif kind is EventKind.JOB_FINISH:
+                self._handle_finish(payload)
             else:
-                self._handle_periodic(event.payload)
+                self._handle_periodic(payload)
             self._dispatch()
         self.now = min(self.now, horizon)
         if self.recorder is not None:
@@ -434,7 +433,7 @@ class RTExecutor:
         period = 1.0 / self._rates[task_name]
         next_time = self.now + period
         if next_time <= self.config.horizon:
-            self._events.push(next_time, Event(EventKind.SOURCE_RELEASE, task_name))
+            self._events.push(next_time, EventKind.SOURCE_RELEASE, task_name)
 
     def _release_job(
         self, spec: TaskSpec, provenance: Optional[Dict[str, float]]
@@ -541,7 +540,7 @@ class RTExecutor:
             next_time = self.now + self.config.coordination_period
             if next_time <= self.config.horizon:
                 self._events.push(
-                    next_time, Event(EventKind.PERIODIC, ("__coordination__", None))
+                    next_time, EventKind.PERIODIC, ("__coordination__", None)
                 )
             return
         assert hook is not None
@@ -550,7 +549,7 @@ class RTExecutor:
             return  # one-shot (see at())
         next_time = self.now + hook.period
         if next_time <= self.config.horizon:
-            self._events.push(next_time, Event(EventKind.PERIODIC, (name, hook)))
+            self._events.push(next_time, EventKind.PERIODIC, (name, hook))
 
     def _busy_integral(self) -> float:
         """Total processor-busy time so far, including in-flight jobs."""
@@ -589,8 +588,10 @@ class RTExecutor:
                     self.recorder.drop(job, self.now, reason="expired")
                 self.metrics.on_miss(job, dropped=True)
                 self.scheduler.on_job_miss(job, self.now, self.view)
-        free = [p for p in self.processors if p.idle and p.available]
-        if not free or not self.ready:
+        if not self.ready:
+            return
+        free = [p for p in self.processors if p.job is None and p.available]
+        if not free:
             return
         self.scheduler.on_dispatch_round(self.now, self.view)
         # One ranking per round (the rank contract in rt/queue.py).
@@ -613,9 +614,7 @@ class RTExecutor:
             job.unit_exec_time = job.exec_time / proc.effective_speedup(job.task)
             proc.job = job
             proc.busy_until = self.now + job.unit_exec_time
-            self._events.push(
-                proc.busy_until, Event(EventKind.JOB_FINISH, (proc.index, job))
-            )
+            self._events.push(proc.busy_until, EventKind.JOB_FINISH, (proc.index, job))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -119,8 +119,9 @@ class MetricsRecorder:
         stats = self._stats(job.task.name)
         stats.completed += 1
         stats.total_exec_time += job.exec_time
-        if job.response_time is not None:
-            stats.total_response_time += job.response_time
+        response_time = job.response_time
+        assert response_time is not None  # a completed job has finish_time set
+        stats.total_response_time += response_time
         self._win_completed += 1
         self._total_completed += 1
 

@@ -214,7 +214,7 @@ class JobState(enum.Enum):
 _job_counter = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One release of a task.
 
@@ -223,6 +223,10 @@ class Job:
     timestamps) is the moment the data this job operates on was captured —
     control commands computed from it act on a vehicle-state snapshot of that
     age, which is how scheduling latency degrades driving performance.
+
+    ``absolute_deadline`` is fixed once at construction from
+    ``release_time`` and ``task``; neither is reassigned afterwards
+    (``dataclasses.replace`` builds a new job and recomputes it).
     """
 
     task: TaskSpec
@@ -241,6 +245,8 @@ class Job:
     #: speedup-1.0 units (``x / 1.0`` is float-exact).
     unit_exec_time: Optional[float] = None
     job_id: int = field(default_factory=lambda: next(_job_counter))
+    #: ``release_time + D_i``, set once by ``__post_init__``.
+    absolute_deadline: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.exec_time < 0:
@@ -248,11 +254,7 @@ class Job:
         if not self.provenance:
             # A source job senses the world at its own release instant.
             self.provenance = {self.task.name: self.release_time}
-
-    @property
-    def absolute_deadline(self) -> float:
-        """``release_time + D_i``."""
-        return self.release_time + self.task.relative_deadline
+        self.absolute_deadline = self.release_time + self.task.relative_deadline
 
     @property
     def sense_time(self) -> float:

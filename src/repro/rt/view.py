@@ -46,10 +46,6 @@ class ProcessorState:
     #: ``speedup`` override wins (see :meth:`effective_speedup`).
     speedup: float = 1.0
 
-    @property
-    def idle(self) -> bool:
-        return self.job is None
-
     def remaining(self, now: float) -> float:
         """Remaining processing time ``T_p`` of the running job (Eq. 11)."""
         if self.job is None:
@@ -125,7 +121,3 @@ class SystemView:
             if p.available:
                 counts[p.unit_type] = counts.get(p.unit_type, 0) + 1
         return counts
-
-    def compatible_processors(self, spec: TaskSpec) -> List[ProcessorState]:
-        """Available processors ``spec`` may run on (binding + affinity)."""
-        return [p for p in self.processors if p.available and p.can_run(spec)]

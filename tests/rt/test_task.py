@@ -1,5 +1,6 @@
 """Unit tests for the task/job model."""
 
+import dataclasses
 
 import pytest
 
@@ -68,7 +69,25 @@ class TestTaskSpec:
 class TestJob:
     def test_absolute_deadline(self):
         job = Job(task=make_spec(relative_deadline=0.2), release_time=1.0, exec_time=0.01)
-        assert job.absolute_deadline == pytest.approx(1.2)
+        assert job.absolute_deadline == job.release_time + job.task.relative_deadline
+
+    def test_replace_recomputes_deadline(self):
+        job = Job(task=make_spec(relative_deadline=0.2), release_time=1.0, exec_time=0.01)
+        moved = dataclasses.replace(job, release_time=3.0)
+        assert moved.absolute_deadline == 3.0 + 0.2
+        assert job.absolute_deadline == 1.0 + 0.2
+        retasked = dataclasses.replace(job, task=make_spec(relative_deadline=0.5))
+        assert retasked.absolute_deadline == 1.0 + 0.5
+
+    def test_deadline_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            Job(task=make_spec(), release_time=0.0, exec_time=0.01, absolute_deadline=9.0)
+
+    def test_job_is_slotted(self):
+        job = Job(task=make_spec(), release_time=0.0, exec_time=0.01)
+        assert not hasattr(job, "__dict__")
+        with pytest.raises(AttributeError):
+            job.not_a_field = 1
 
     def test_default_provenance_is_own_release(self):
         job = Job(task=make_spec(name="src"), release_time=3.0, exec_time=0.01)
